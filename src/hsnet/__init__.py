@@ -16,11 +16,9 @@ from .errors import (
 from .hsblock import (
     ChannelPlan,
     HsBlockConfig,
-    HsBottleneck,
     HsStage,
     channel_plan,
     concat_channels,
-    hs_bottleneck_forward,
     hs_forward,
     split_channels,
 )
@@ -37,7 +35,7 @@ from .layers import (
     relu,
     softmax_cross_entropy,
 )
-from .network import Network, NetworkConfig, NETWORK_PRESETS, build, preset
+from .network import Bottleneck, Network, NetworkConfig, NETWORK_PRESETS, build, preset
 from .tensor import Rng, Tape, Tensor4, add, backward, from_array, mul, randn, scale, sub, tensor_sum, zeros
 
 __version__ = "0.1.0"

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .hsblock import HsBlockConfig, HsBottleneck, channel_plan
+from .hsblock import HsBlockConfig, channel_plan
 from .layers import conv_output_size
-from .network import Network, NetworkConfig, PlainBottleneck, build, preset
+from .network import POOL_GEOMETRY, Network, NetworkConfig, build, preset
 
 # Published reference budgets the reconciliation sweep reports deviations
 # against: 25.56M parameters for the plain 50-layer control, 27.00M for
@@ -138,132 +137,72 @@ class ComplexityReport:
         return sum(r.flops for r in self.rows)
 
 
-class _Walk:
-    def __init__(self):
-        self.rows: list[LayerRow] = []
-
-    def conv(self, name, unit, hw) -> int:
-        conv = unit.conv
-        k, stride, pad = conv.kernel_size, conv.stride, conv.padding
-        in_c, out_c = conv.in_channels, conv.out_channels
-        out_hw = conv_output_size(hw, k, stride, pad)
-        weight_n = int(conv.weight.data.size)
-        bias_n = int(conv.bias.data.size) if conv.bias is not None else 0
-        flops = 2 * in_c * k * k * out_c * out_hw * out_hw + bias_n * out_hw * out_hw
-        self.rows.append(
-            LayerRow(name=f"{name}.conv", kind="conv", params=weight_n + bias_n,
-                     weight_params=weight_n, bias_params=bias_n, flops=flops)
-        )
-        bn_n = int(unit.bn.gamma.data.size + unit.bn.beta.data.size)
-        self.rows.append(
-            LayerRow(name=f"{name}.bn", kind="bn", params=bn_n, bn_params=bn_n,
-                     flops=2 * out_c * out_hw * out_hw)
-        )
-        return out_hw
-
-    def relu(self, name, c, hw):
-        self.rows.append(LayerRow(name=name, kind="relu", flops=c * hw * hw))
-
-    def pool(self, name, kind, k, stride, pad, c, hw) -> int:
-        out_hw = conv_output_size(hw, k, stride, pad)
-        per = k * k if kind == "avg" else k * k - 1
-        self.rows.append(
-            LayerRow(name=name, kind=f"pool_{kind}", flops=per * c * out_hw * out_hw)
-        )
-        return out_hw
-
-    def add(self, name, c, hw):
-        self.rows.append(LayerRow(name=name, kind="add", flops=c * hw * hw))
-
-    def gap(self, name, c, hw):
-        self.rows.append(LayerRow(name=name, kind="gap", flops=c * hw * hw))
-
-    def fc(self, name, weight, bias):
-        kk, d = weight.dims[0], weight.dims[1]
-        weight_n, bias_n = kk * d, (int(bias.data.size) if bias is not None else 0)
-        self.rows.append(
-            LayerRow(name=name, kind="fc", params=weight_n + bias_n,
-                     weight_params=weight_n, bias_params=bias_n,
-                     flops=2 * kk * d + bias_n)
-        )
+def _conv_rows(rows: list[LayerRow], name: str, unit, hw: int) -> tuple[int, int]:
+    conv = unit.conv
+    k, out_c = conv.kernel_size, conv.out_channels
+    out_hw = conv_output_size(hw, k, conv.stride, conv.padding)
+    weight_n = int(conv.weight.data.size)
+    bias_n = int(conv.bias.data.size) if conv.bias is not None else 0
+    flops = 2 * conv.in_channels * k * k * out_c * out_hw * out_hw + bias_n * out_hw * out_hw
+    rows.append(LayerRow(name=f"{name}.conv", kind="conv", params=weight_n + bias_n,
+                         weight_params=weight_n, bias_params=bias_n, flops=flops))
+    bn_n = int(unit.bn.gamma.data.size + unit.bn.beta.data.size)
+    rows.append(LayerRow(name=f"{name}.bn", kind="bn", params=bn_n, bn_params=bn_n,
+                         flops=2 * out_c * out_hw * out_hw))
+    return out_c, out_hw
 
 
-def _walk_hs_block(walk: _Walk, block: HsBottleneck, hw: int) -> int:
-    name = block.name
-    hw2 = walk.conv(f"{name}.reduce", block.reduce, hw)
-    walk.relu(f"{name}.reduce.relu", block.cfg.mid_channels, hw2)
-    if block.cfg.stride == 2:
-        hw2 = walk.pool(f"{name}.pool", "avg", 2, 2, 0, block.cfg.mid_channels, hw2)
-    for idx, unit in enumerate(block.stage.units):
-        ghw = walk.conv(f"{name}.hs.f{idx + 2}", unit, hw2)
-        walk.relu(f"{name}.hs.f{idx + 2}.relu", block.plan.conv_out[idx], ghw)
-    hw3 = walk.conv(f"{name}.expand", block.expand, hw2)
-    if block.shortcut is not None:
-        sc_hw = hw
-        if block.cfg.stride == 2:
-            sc_hw = walk.pool(f"{name}.shortcut.pool", "avg", 2, 2, 0, block.in_channels, sc_hw)
-        walk.conv(f"{name}.shortcut", block.shortcut, sc_hw)
-    walk.add(f"{name}.add", block.out_channels, hw3)
-    walk.relu(f"{name}.relu", block.out_channels, hw3)
-    return hw3
+def _walk(rows: list[LayerRow], steps, c: int, hw: int) -> tuple[int, int]:
+    """Append the rows of a step list entered with c channels at hw x hw;
+    returns the shape it leaves."""
+    for name, kind, unit in steps:
+        if kind == "hs":
+            _, hw = _walk(rows, unit.steps, c, hw)
+            c = unit.plan.total_out
+        elif kind in POOL_GEOMETRY:
+            k, stride, padding = POOL_GEOMETRY[kind]
+            hw = conv_output_size(hw, k, stride, padding)
+            avg = kind == "avg_pool"
+            rows.append(LayerRow(name=name, kind="pool_avg" if avg else "pool_max",
+                                 flops=(k * k if avg else k * k - 1) * c * hw * hw))
+        else:
+            c, hw = _conv_rows(rows, name, unit, hw)
+            if kind == "conv_relu":
+                rows.append(LayerRow(name=f"{name}.relu", kind="relu", flops=c * hw * hw))
+    return c, hw
 
 
-def _walk_plain_block(walk: _Walk, block: PlainBottleneck, hw: int) -> int:
-    name = block.name
-    hw1 = walk.conv(f"{name}.conv1", block.conv1, hw)
-    walk.relu(f"{name}.conv1.relu", block.mid_channels, hw1)
-    hw2 = walk.conv(f"{name}.conv2", block.conv2, hw1)
-    walk.relu(f"{name}.conv2.relu", block.mid_channels, hw2)
-    hw3 = walk.conv(f"{name}.conv3", block.conv3, hw2)
-    if block.shortcut is not None:
-        sc_hw = hw
-        if block.shortcut_pool and block.stride == 2:
-            sc_hw = walk.pool(f"{name}.shortcut.pool", "avg", 2, 2, 0, block.in_channels, sc_hw)
-        walk.conv(f"{name}.shortcut", block.shortcut, sc_hw)
-    walk.add(f"{name}.add", block.out_channels, hw3)
-    walk.relu(f"{name}.relu", block.out_channels, hw3)
-    return hw3
+def _stage_form(block: str, cfg: HsBlockConfig) -> StageForm:
+    return StageForm(
+        block=block, k=cfg.k, s=cfg.s, w=cfg.w,
+        dense_closed_form=dense_conv_params(cfg.k, cfg.s, cfg.w),
+        split_closed_form=split_params_closed_form(cfg.k, cfg.s, cfg.w),
+        split_exact=split_params_exact(cfg),
+    )
 
 
 def count(net: Network, image_size: int | None = None) -> ComplexityReport:
     """Exact per-layer parameter and FLOP table for a built network."""
     cfg = net.config
     hw = image_size if image_size is not None else cfg.image_size
-    walk = _Walk()
     report = ComplexityReport(network=cfg.name or cfg.block_type, image_size=hw)
+    rows = report.rows
 
-    cur = hw
-    for name, unit in net.stem_units:
-        cur = walk.conv(name, unit, cur)
-        walk.relu(f"{name}.relu", unit.conv.out_channels, cur)
-    cur = walk.pool("stem.pool", "max", 3, 2, 1, cfg.stem_channels, cur)
+    c, hw = _walk(rows, net.stem, 3, hw)
+    for block in net.blocks:
+        out_c, out_hw = _walk(rows, block.main, c, hw)
+        _walk(rows, block.shortcut, c, hw)
+        for row_name, kind in ((f"{block.name}.add", "add"), (f"{block.name}.relu", "relu")):
+            rows.append(LayerRow(name=row_name, kind=kind, flops=out_c * out_hw * out_hw))
+        report.stage_forms += [_stage_form(block.name, unit.cfg)
+                               for _, kind, unit in block.main if kind == "hs"]
+        c, hw = out_c, out_hw
 
-    for stage in net.stages:
-        for block in stage:
-            if isinstance(block, HsBottleneck):
-                cur = _walk_hs_block(walk, block, cur)
-                report.stage_forms.append(
-                    StageForm(
-                        block=block.name,
-                        k=block.cfg.k,
-                        s=block.cfg.s,
-                        w=block.cfg.w,
-                        dense_closed_form=dense_conv_params(block.cfg.k, block.cfg.s, block.cfg.w),
-                        split_closed_form=split_params_closed_form(
-                            block.cfg.k, block.cfg.s, block.cfg.w
-                        ),
-                        split_exact=split_params_exact(block.cfg),
-                    )
-                )
-            elif isinstance(block, PlainBottleneck):
-                cur = _walk_plain_block(walk, block, cur)
-            else:
-                raise ConfigError(f"unknown block type {type(block).__name__}")
-
-    walk.gap("head.gap", cfg.stage_out_channels()[-1], cur)
-    walk.fc("head.fc", net.head_weight, net.head_bias)
-
-    report.rows = walk.rows
+    rows.append(LayerRow(name="head.gap", kind="gap", flops=c * hw * hw))
+    kk, d = net.head_weight.dims[0], net.head_weight.dims[1]
+    bias_n = int(net.head_bias.data.size) if net.head_bias is not None else 0
+    rows.append(LayerRow(name="head.fc", kind="fc", params=kk * d + bias_n,
+                         weight_params=kk * d, bias_params=bias_n, flops=2 * kk * d + bias_n))
     return report
 
 

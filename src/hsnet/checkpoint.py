@@ -24,6 +24,7 @@ format self-contained without a side channel.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from collections import OrderedDict
@@ -39,19 +40,34 @@ CONFIG_KEY = "meta/config_json"
 
 
 def save(path, tensors: "OrderedDict[str, np.ndarray]") -> None:
-    """Write named arrays in the checkpoint layout (cast to float32)."""
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    for name, arr in tensors.items():
-        arr = np.asarray(arr)
-        name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    body = b"".join(chunks)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(body + struct.pack("<I", crc))
+    """Write named arrays in the checkpoint layout (cast to float32).
+
+    The bytes go to a sibling ``<name>.tmp`` file that is then renamed
+    over ``path``, so ``path`` holds either its previous content or the
+    complete new checkpoint, never a partial one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
+    crc = 0
+    try:
+        with tmp.open("wb") as f:
+            def put(chunk) -> None:
+                nonlocal crc
+                f.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+
+            put(MAGIC + struct.pack("<II", VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                arr = np.asarray(arr)
+                name_b = name.encode("utf-8")
+                put(struct.pack("<I", len(name_b)) + name_b + struct.pack("<I", arr.ndim)
+                    + struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                put(np.ascontiguousarray(arr, dtype="<f4"))
+            f.write(struct.pack("<I", crc & 0xFFFFFFFF))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path) -> "OrderedDict[str, np.ndarray]":

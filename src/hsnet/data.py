@@ -132,24 +132,33 @@ def write_cifar10(ds: Dataset, path) -> None:
 # Synthetic data
 
 
+def synth_patterns(k: int, image_size: int, rng: Rng) -> np.ndarray:
+    """(k, 3, image_size, image_size) class patterns: one fixed
+    low-frequency pattern per class with values in [0.3, 0.7]."""
+    grid = max(2, image_size // 8)
+    coarse = rng.uniform(0.3, 0.7, size=(k, 3, grid, grid))
+    reps = -(-image_size // grid)  # ceil
+    patterns = np.repeat(np.repeat(coarse, reps, axis=2), reps, axis=3)
+    return patterns[:, :, :image_size, :image_size]
+
+
 def synth_blobs(k: int, n_per_class: int, image_size: int, rng: Rng,
-                noise_std: float = 0.1) -> Dataset:
+                noise_std: float = 0.1, patterns: np.ndarray | None = None) -> Dataset:
     """Linearly separable classes: Gaussian noise around per-class patterns.
 
-    Each class owns a fixed low-frequency pattern with values in
-    [0.3, 0.7]; samples add noise_std Gaussian noise and clip to [0, 1].
-    The margin between class patterns dwarfs the noise, so a nearest
-    centroid classifier separates the classes essentially perfectly.
+    Samples add noise_std Gaussian noise to their class pattern and clip
+    to [0, 1]. The patterns come from ``synth_patterns`` on the stream's
+    ``patterns`` child unless given; splits that must agree on what each
+    class looks like pass the same patterns. The margin between class
+    patterns dwarfs the noise, so a nearest centroid classifier separates
+    the classes essentially perfectly.
     """
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
     if n_per_class < 1 or image_size < 4:
         raise ValueError("n_per_class must be >= 1 and image_size >= 4")
-    grid = max(2, image_size // 8)
-    coarse = rng.child("patterns").uniform(0.3, 0.7, size=(k, 3, grid, grid))
-    reps = -(-image_size // grid)  # ceil
-    patterns = np.repeat(np.repeat(coarse, reps, axis=2), reps, axis=3)
-    patterns = patterns[:, :, :image_size, :image_size]
+    if patterns is None:
+        patterns = synth_patterns(k, image_size, rng.child("patterns"))
 
     labels = np.repeat(np.arange(k, dtype=np.int64), n_per_class)
     noise = rng.child("noise").standard_normal((k * n_per_class, 3, image_size, image_size))

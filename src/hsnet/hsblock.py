@@ -1,4 +1,4 @@
-"""Hierarchical-split stage: channel plans, split/concat, block dataflow.
+"""Hierarchical-split stage: channel plans, split/concat, stage dataflow.
 
 One stage takes s groups of w channels. The first group passes straight
 through. Every later group is convolved together with the forwarded half
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import BatchNormState, Conv2dParams, avg_pool, batch_norm, conv2d, relu
-from .tensor import Tensor4, add, op_scope, record
+from .layers import BatchNormState, Conv2dParams, batch_norm, conv2d, relu
+from .tensor import Tensor4, op_scope, record
 
 VARIANTS = ("preserve", "split-first", "project")
 
@@ -205,7 +205,7 @@ def concat_channels(parts) -> Tensor4:
 
 
 # ---------------------------------------------------------------------------
-# Stage and bottleneck containers
+# Stage container and dataflow
 
 
 @dataclass
@@ -225,7 +225,8 @@ def conv_bn_relu(x: Tensor4, unit: ConvBn, mode: str, name: str, activate: bool 
 class HsStage:
     """The group convolutions F_2..F_s of one hierarchical-split stage."""
 
-    def __init__(self, cfg: HsBlockConfig, plan: ChannelPlan, units: list[ConvBn], name: str = "hs"):
+    def __init__(self, cfg: HsBlockConfig, units: list[ConvBn], name: str = "hs"):
+        plan = channel_plan(cfg)
         if len(units) != cfg.s - 1:
             raise ConfigError(f"stage needs {cfg.s - 1} conv units, got {len(units)}")
         for idx, unit in enumerate(units):
@@ -240,9 +241,11 @@ class HsStage:
         self.plan = plan
         self.units = units
         self.name = name
+        # the group convolutions as block steps, F_2 first
+        self.steps = [(f"{name}.f{i + 2}", "conv_relu", unit) for i, unit in enumerate(units)]
 
 
-def hs_forward(x: Tensor4, stage: HsStage, plan: ChannelPlan, mode: str = "train") -> Tensor4:
+def hs_forward(x: Tensor4, stage: HsStage, mode: str = "train") -> Tensor4:
     """Run the split/conv/forward recurrence over the groups of ``x``.
 
     The input must carry exactly s*w channels. Group 1 contributes its
@@ -251,9 +254,7 @@ def hs_forward(x: Tensor4, stage: HsStage, plan: ChannelPlan, mode: str = "train
     keeps the lower (ceiling) half, and forwards the rest. The output is
     the concatenation of all kept parts in group order.
     """
-    cfg = stage.cfg
-    if plan is not stage.plan and plan != stage.plan:
-        raise ShapeError("plan does not match the stage it is applied to")
+    cfg, plan = stage.cfg, stage.plan
     n, c, h, w = x.dims
     if c != cfg.mid_channels:
         raise ShapeError(f"hs stage expects {cfg.mid_channels} channels, got {c}")
@@ -269,86 +270,14 @@ def hs_forward(x: Tensor4, stage: HsStage, plan: ChannelPlan, mode: str = "train
         kept.append(groups[0])
         carry = None
 
-    for i in range(2, cfg.s + 1):
-        idx = i - 2
+    for i, (name, _, unit) in enumerate(stage.steps, start=2):
         inp = groups[i - 1] if carry is None else concat_channels([groups[i - 1], carry])
-        y = conv_bn_relu(inp, stage.units[idx], mode, f"{stage.name}.f{i}")
+        y = conv_bn_relu(inp, unit, mode, name)
         if i < cfg.s:
-            keep_w, fwd_w = plan.out[i - 1], plan.fwd[i - 1]
-            y_keep, y_fwd = split_channels(y, [keep_w, fwd_w])
+            y_keep, y_fwd = split_channels(y, [plan.out[i - 1], plan.fwd[i - 1]])
             kept.append(y_keep)
             carry = y_fwd
         else:
             kept.append(y)
 
     return concat_channels(kept)
-
-
-class HsBottleneck:
-    """Residual unit: 1x1 reduce, hierarchical-split stage, 1x1 expand.
-
-    Only the middle k x k stage differs from a plain bottleneck. With
-    stride 2 the stage input is average-pooled 2x2 before the split and
-    the shortcut pools before projecting, so both paths halve together.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        in_channels: int,
-        out_channels: int,
-        cfg: HsBlockConfig,
-        plan: ChannelPlan,
-        reduce: ConvBn,
-        stage: HsStage,
-        expand: ConvBn,
-        shortcut: ConvBn | None,
-    ):
-        self.name = name
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.cfg = cfg
-        self.plan = plan
-        self.reduce = reduce
-        self.stage = stage
-        self.expand = expand
-        self.shortcut = shortcut
-        if shortcut is None and (in_channels != out_channels or cfg.stride != 1):
-            raise ConfigError(f"{name}: identity shortcut needs matching dims and stride 1")
-
-    def named_units(self):
-        yield "reduce", self.reduce
-        for i, unit in enumerate(self.stage.units):
-            yield f"hs.f{i + 2}", unit
-        yield "expand", self.expand
-        if self.shortcut is not None:
-            yield "shortcut", self.shortcut
-
-    def forward(self, x: Tensor4, mode: str) -> Tensor4:
-        if x.dims[1] != self.in_channels:
-            raise ShapeError(
-                f"{self.name}: input has {x.dims[1]} channels, expected {self.in_channels}"
-            )
-        h = conv_bn_relu(x, self.reduce, mode, f"{self.name}.reduce")
-        if self.cfg.stride == 2:
-            with op_scope(f"{self.name}.pool"):
-                h = avg_pool(h, 2, 2)
-        h = hs_forward(h, self.stage, self.plan, mode)
-        h = conv_bn_relu(h, self.expand, mode, f"{self.name}.expand", activate=False)
-
-        if self.shortcut is None:
-            sc = x
-        else:
-            sc = x
-            if self.cfg.stride == 2:
-                with op_scope(f"{self.name}.shortcut.pool"):
-                    sc = avg_pool(sc, 2, 2)
-            sc = conv_bn_relu(sc, self.shortcut, mode, f"{self.name}.shortcut", activate=False)
-
-        with op_scope(f"{self.name}.add"):
-            return relu(add(h, sc))
-
-
-def hs_bottleneck_forward(x: Tensor4, block: HsBottleneck, mode: str = "train") -> Tensor4:
-    """Functional entry point for one bottleneck: relu(shortcut + expand(stage(reduce(x))))."""
-    return block.forward(x, mode)

@@ -420,13 +420,10 @@ def linear(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None) -> Tensor4:
 
 @dataclass
 class LossOutput:
-    """Mean cross-entropy value plus the analytic logits gradient.
-
-    ``scalar`` is the tape-recorded (1,1,1,1) tensor to pass to backward.
-    """
+    """Mean cross-entropy value; ``scalar`` is the tape-recorded (1,1,1,1)
+    tensor to pass to backward."""
 
     value: float
-    logits_grad: Tensor4
     scalar: Tensor4
 
 
@@ -457,13 +454,11 @@ def softmax_cross_entropy(logits: Tensor4, target: np.ndarray) -> LossOutput:
     p = exp / denom
 
     value = float(-(target * logp).sum() / n)
-    grad2 = ((p - target) / n).astype(logits.data.dtype)
-    logits_grad = Tensor4._wrap(grad2.reshape(n, k, 1, 1), False)
+    grad = ((p - target) / n).astype(logits.data.dtype).reshape(n, k, 1, 1)
 
     scalar_data = np.array(value, dtype=logits.data.dtype).reshape(1, 1, 1, 1)
     check_finite(scalar_data, "softmax_cross_entropy")
     scalar = Tensor4._wrap(scalar_data, logits.requires_grad)
 
-    grad_arr = logits_grad.data
-    record((logits,), scalar, lambda g: (g.reshape(-1)[0] * grad_arr,))
-    return LossOutput(value=value, logits_grad=logits_grad, scalar=scalar)
+    record((logits,), scalar, lambda g: (g.reshape(-1)[0] * grad,))
+    return LossOutput(value=value, scalar=scalar)

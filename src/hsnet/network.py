@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IncompatibilityError, ShapeError
-from .hsblock import (
-    ConvBn,
-    HsBlockConfig,
-    HsBottleneck,
-    HsStage,
-    channel_plan,
-    conv_bn_relu,
-)
+from .hsblock import ConvBn, HsBlockConfig, HsStage, channel_plan, conv_bn_relu, hs_forward
 from .layers import BatchNormState, Conv2dParams, avg_pool, global_avg_pool, linear, max_pool, relu
 from .tensor import Rng, Tensor4, add, op_scope, randn, zeros
 
@@ -101,49 +94,69 @@ class NetworkConfig:
 
 
 # ---------------------------------------------------------------------------
-# Plain bottleneck
+# Blocks as step lists
+#
+# The stem and both halves of every residual block are lists of steps
+# ``(name, kind, unit)``. ``name`` is the op_scope the step runs under
+# and the prefix of its parameter names. ``kind`` is one of ``conv_relu``
+# and ``conv`` (unit: a ConvBn), ``avg_pool`` and ``max_pool`` (unit:
+# None; the geometry is in POOL_GEOMETRY) or ``hs`` (unit: an HsStage).
+# Forward, parameter naming and analysis.count all read these lists.
+
+# kernel, stride, padding
+POOL_GEOMETRY = {"avg_pool": (2, 2, 0), "max_pool": (3, 2, 1)}
 
 
-class PlainBottleneck:
-    """Classic 1x1 / 3x3 / 1x1 residual unit; stride sits on the 3x3."""
+def run(steps, x: Tensor4, mode: str) -> Tensor4:
+    """Apply a step list in order."""
+    for name, kind, unit in steps:
+        if kind == "hs":
+            x = hs_forward(x, unit, mode)
+        elif kind in POOL_GEOMETRY:
+            k, stride, padding = POOL_GEOMETRY[kind]
+            with op_scope(name):
+                x = (avg_pool if kind == "avg_pool" else max_pool)(x, k, stride, padding)
+        else:
+            x = conv_bn_relu(x, unit, mode, name, activate=kind == "conv_relu")
+    return x
 
-    def __init__(self, name, in_channels, mid_channels, out_channels, stride,
-                 conv1: ConvBn, conv2: ConvBn, conv3: ConvBn,
-                 shortcut: ConvBn | None, shortcut_pool: bool):
+
+def conv_units(steps):
+    """``(name, ConvBn)`` of every convolution in a step list, in order."""
+    for name, kind, unit in steps:
+        if kind == "hs":
+            yield from conv_units(unit.steps)
+        elif kind not in POOL_GEOMETRY:
+            yield name, unit
+
+
+class Bottleneck:
+    """Residual unit: relu(run(main) + run(shortcut)).
+
+    An empty shortcut is the identity, which needs a main path that keeps
+    the channel count and the spatial extent.
+    """
+
+    def __init__(self, name: str, in_channels: int, main: list, shortcut: list):
+        convs = [unit.conv for _, unit in conv_units(main)]
+        if not shortcut and (
+            convs[-1].out_channels != in_channels
+            or any(conv.stride != 1 for conv in convs)
+            or any(kind in POOL_GEOMETRY for _, kind, _ in main)
+        ):
+            raise ConfigError(f"{name}: identity shortcut needs matching dims and stride 1")
         self.name = name
         self.in_channels = in_channels
-        self.mid_channels = mid_channels
-        self.out_channels = out_channels
-        self.stride = stride
-        self.conv1 = conv1
-        self.conv2 = conv2
-        self.conv3 = conv3
+        self.main = main
         self.shortcut = shortcut
-        self.shortcut_pool = shortcut_pool
-
-    def named_units(self):
-        yield "conv1", self.conv1
-        yield "conv2", self.conv2
-        yield "conv3", self.conv3
-        if self.shortcut is not None:
-            yield "shortcut", self.shortcut
 
     def forward(self, x: Tensor4, mode: str) -> Tensor4:
         if x.dims[1] != self.in_channels:
             raise ShapeError(
                 f"{self.name}: input has {x.dims[1]} channels, expected {self.in_channels}"
             )
-        h = conv_bn_relu(x, self.conv1, mode, f"{self.name}.conv1")
-        h = conv_bn_relu(h, self.conv2, mode, f"{self.name}.conv2")
-        h = conv_bn_relu(h, self.conv3, mode, f"{self.name}.conv3", activate=False)
-        if self.shortcut is None:
-            sc = x
-        else:
-            sc = x
-            if self.shortcut_pool and self.stride == 2:
-                with op_scope(f"{self.name}.shortcut.pool"):
-                    sc = avg_pool(sc, 2, 2)
-            sc = conv_bn_relu(sc, self.shortcut, mode, f"{self.name}.shortcut", activate=False)
+        h = run(self.main, x, mode)
+        sc = run(self.shortcut, x, mode)
         with op_scope(f"{self.name}.add"):
             return relu(add(h, sc))
 
@@ -155,22 +168,20 @@ class PlainBottleneck:
 class Network:
     """A built network: named parameters plus a forward entry point."""
 
-    def __init__(self, config: NetworkConfig, stem_units, stages, head_weight, head_bias, dtype):
+    def __init__(self, config: NetworkConfig, stem: list, blocks: list[Bottleneck],
+                 head_weight, head_bias, dtype):
         self.config = config
         self.dtype = dtype
-        self.stem_units: list[tuple[str, ConvBn]] = stem_units
-        self.stages: list[list] = stages
+        self.stem = stem
+        self.blocks = blocks
         self.head_weight = head_weight
         self.head_bias = head_bias
         self._params = self._collect_params()
 
     def _named_convbns(self):
-        for name, unit in self.stem_units:
-            yield name, unit
-        for stage in self.stages:
-            for block in stage:
-                for local, unit in block.named_units():
-                    yield f"{block.name}.{local}", unit
+        yield from conv_units(self.stem)
+        for block in self.blocks:
+            yield from conv_units(block.main + block.shortcut)
 
     def _collect_params(self) -> "OrderedDict[str, Tensor4]":
         params: OrderedDict[str, Tensor4] = OrderedDict()
@@ -239,14 +250,9 @@ class Network:
             )
         if x.data.dtype != self.dtype:
             raise ShapeError(f"input dtype {x.data.dtype} != network dtype {self.dtype}")
-        out = x
-        for name, unit in self.stem_units:
-            out = conv_bn_relu(out, unit, mode, name)
-        with op_scope("stem.pool"):
-            out = max_pool(out, 3, 2, padding=1)
-        for stage in self.stages:
-            for block in stage:
-                out = block.forward(out, mode)
+        out = run(self.stem, x, mode)
+        for block in self.blocks:
+            out = block.forward(out, mode)
         with op_scope("head.gap"):
             out = global_avg_pool(out)
         with op_scope("head.fc"):
@@ -266,74 +272,67 @@ def _conv_weight(name, out_c, in_c, k, rng, dtype) -> Tensor4:
     return randn(dims, rng.child(f"param/{name}"), std=std, dtype=dtype, requires_grad=True)
 
 
-def _make_conv_bn(name, in_c, out_c, k, stride, padding, rng, dtype, gamma: float = 1.0) -> ConvBn:
+def _make_conv_bn(name, in_c, out_c, k, stride, rng, dtype, gamma: float = 1.0) -> ConvBn:
     weight = _conv_weight(name, out_c, in_c, k, rng, dtype)
-    conv = Conv2dParams(weight=weight, bias=None, stride=stride, padding=padding)
+    conv = Conv2dParams(weight=weight, bias=None, stride=stride, padding=k // 2)
     gamma_t = Tensor4(np.full((1, out_c, 1, 1), gamma, dtype=dtype), requires_grad=True)
     beta_t = zeros((1, out_c, 1, 1), dtype=dtype, requires_grad=True)
     bn = BatchNormState(gamma=gamma_t, beta=beta_t)
     return ConvBn(conv=conv, bn=bn)
 
 
-def _make_hs_block(name, in_c, out_c, block_cfg: HsBlockConfig, rng, dtype, zero_gamma) -> HsBottleneck:
-    plan = channel_plan(block_cfg)
-    mid = block_cfg.mid_channels
-    reduce = _make_conv_bn(f"{name}.reduce", in_c, mid, 1, 1, 0, rng, dtype)
-    units = [
-        _make_conv_bn(
-            f"{name}.hs.f{i + 2}",
-            plan.conv_in[i],
-            plan.conv_out[i],
-            block_cfg.k,
-            1,
-            block_cfg.k // 2,
-            rng,
-            dtype,
-        )
-        for i in range(block_cfg.s - 1)
-    ]
-    stage = HsStage(block_cfg, plan, units, name=f"{name}.hs")
-    expand = _make_conv_bn(
-        f"{name}.expand", plan.total_out, out_c, 1, 1, 0, rng, dtype,
-        gamma=0.0 if zero_gamma else 1.0,
-    )
-    shortcut = None
-    if in_c != out_c or block_cfg.stride != 1:
-        shortcut = _make_conv_bn(f"{name}.shortcut", in_c, out_c, 1, 1, 0, rng, dtype)
-    return HsBottleneck(
-        name=name, in_channels=in_c, out_channels=out_c, cfg=block_cfg, plan=plan,
-        reduce=reduce, stage=stage, expand=expand, shortcut=shortcut,
-    )
+def _make_block(cfg: NetworkConfig, name, in_c, width, out_c, stride, rng, dtype) -> Bottleneck:
+    """Plain: 1x1 / 3x3 (carrying the stride) / 1x1. Split: 1x1 reduce, a
+    2x2 average pool when striding, the split stage, 1x1 expand. The
+    shortcut pools before projecting wherever the main path pools or the
+    stem is the 3-conv one; otherwise the projection itself strides."""
 
+    def conv(local, kind, c_in, c_out, k, stride=1, gamma=1.0):
+        full = f"{name}.{local}"
+        return full, kind, _make_conv_bn(full, c_in, c_out, k, stride, rng, dtype, gamma)
 
-def _make_plain_block(name, in_c, mid, out_c, stride, rng, dtype, zero_gamma, pool_shortcut) -> PlainBottleneck:
-    conv1 = _make_conv_bn(f"{name}.conv1", in_c, mid, 1, 1, 0, rng, dtype)
-    conv2 = _make_conv_bn(f"{name}.conv2", mid, mid, 3, stride, 1, rng, dtype)
-    conv3 = _make_conv_bn(
-        f"{name}.conv3", mid, out_c, 1, 1, 0, rng, dtype,
-        gamma=0.0 if zero_gamma else 1.0,
-    )
-    shortcut = None
+    last_gamma = 0.0 if cfg.zero_init_gamma else 1.0
+    hs = cfg.block_type == "hs-bottleneck"
+    if hs:
+        block_cfg = HsBlockConfig(s=cfg.s, w=width, k=3, stride=stride, variant=cfg.variant)
+        plan = channel_plan(block_cfg)
+        units = [_make_conv_bn(f"{name}.hs.f{i + 2}", c_in, c_out, block_cfg.k, 1, rng, dtype)
+                 for i, (c_in, c_out) in enumerate(zip(plan.conv_in, plan.conv_out))]
+        stage = HsStage(block_cfg, units, name=f"{name}.hs")
+        main = [conv("reduce", "conv_relu", in_c, block_cfg.mid_channels, 1)]
+        if stride == 2:
+            main.append((f"{name}.pool", "avg_pool", None))
+        main += [(stage.name, "hs", stage),
+                 conv("expand", "conv", plan.total_out, out_c, 1, gamma=last_gamma)]
+    else:
+        main = [
+            conv("conv1", "conv_relu", in_c, width, 1),
+            conv("conv2", "conv_relu", width, width, 3, stride),
+            conv("conv3", "conv", width, out_c, 1, gamma=last_gamma),
+        ]
+    shortcut = []
     if in_c != out_c or stride != 1:
-        sc_stride = 1 if (pool_shortcut and stride == 2) else stride
-        shortcut = _make_conv_bn(f"{name}.shortcut", in_c, out_c, 1, sc_stride, 0, rng, dtype)
-    return PlainBottleneck(
-        name=name, in_channels=in_c, mid_channels=mid, out_channels=out_c, stride=stride,
-        conv1=conv1, conv2=conv2, conv3=conv3, shortcut=shortcut,
-        shortcut_pool=pool_shortcut,
-    )
+        pool = stride == 2 and (hs or cfg.stem == "resnet-d-3x3x3")
+        if pool:
+            shortcut.append((f"{name}.shortcut.pool", "avg_pool", None))
+        shortcut.append(conv("shortcut", "conv", in_c, out_c, 1, 1 if pool else stride))
+    return Bottleneck(name, in_c, main, shortcut)
 
 
-def _make_stem(cfg: NetworkConfig, rng, dtype) -> list[tuple[str, ConvBn]]:
+def _make_stem(cfg: NetworkConfig, rng, dtype) -> list:
     c = cfg.stem_channels
     if cfg.stem == "classic-7x7":
-        return [("stem.conv1", _make_conv_bn("stem.conv1", 3, c, 7, 2, 3, rng, dtype))]
-    half = c // 2
-    return [
-        ("stem.conv1", _make_conv_bn("stem.conv1", 3, half, 3, 2, 1, rng, dtype)),
-        ("stem.conv2", _make_conv_bn("stem.conv2", half, half, 3, 1, 1, rng, dtype)),
-        ("stem.conv3", _make_conv_bn("stem.conv3", half, c, 3, 1, 1, rng, dtype)),
-    ]
+        convs = [("stem.conv1", 3, c, 7, 2)]
+    else:
+        half = c // 2
+        convs = [
+            ("stem.conv1", 3, half, 3, 2),
+            ("stem.conv2", half, half, 3, 1),
+            ("stem.conv3", half, c, 3, 1),
+        ]
+    steps = [(name, "conv_relu", _make_conv_bn(name, *geometry, rng, dtype))
+             for name, *geometry in convs]
+    return steps + [("stem.pool", "max_pool", None)]
 
 
 def build(cfg: NetworkConfig, rng: Rng | None = None, dtype=np.float64) -> Network:
@@ -346,29 +345,15 @@ def build(cfg: NetworkConfig, rng: Rng | None = None, dtype=np.float64) -> Netwo
 
     widths = cfg.stage_widths()
     outs = cfg.stage_out_channels()
-    pool_shortcut = cfg.stem == "resnet-d-3x3x3"
-
-    stem_units = _make_stem(cfg, rng, dtype)
+    stem = _make_stem(cfg, rng, dtype)
     in_c = cfg.stem_channels
-    stages: list[list] = []
+    blocks: list[Bottleneck] = []
     for j in range(4):
-        blocks = []
         for i in range(cfg.stage_blocks[j]):
             stride = 2 if (j > 0 and i == 0) else 1
-            name = f"s{j + 1}.b{i + 1}"
-            if cfg.block_type == "hs-bottleneck":
-                block_cfg = HsBlockConfig(
-                    s=cfg.s, w=widths[j], k=3, stride=stride, variant=cfg.variant
-                )
-                block = _make_hs_block(name, in_c, outs[j], block_cfg, rng, dtype, cfg.zero_init_gamma)
-            else:
-                block = _make_plain_block(
-                    name, in_c, widths[j], outs[j], stride, rng, dtype,
-                    cfg.zero_init_gamma, pool_shortcut,
-                )
-            blocks.append(block)
+            blocks.append(_make_block(cfg, f"s{j + 1}.b{i + 1}", in_c, widths[j], outs[j],
+                                      stride, rng, dtype))
             in_c = outs[j]
-        stages.append(blocks)
 
     d = outs[-1]
     if rng is None:
@@ -380,7 +365,7 @@ def build(cfg: NetworkConfig, rng: Rng | None = None, dtype=np.float64) -> Netwo
         )
     head_b = zeros((1, cfg.num_classes, 1, 1), dtype=dtype, requires_grad=True)
 
-    return Network(cfg, stem_units, stages, head_w, head_b, dtype)
+    return Network(cfg, stem, blocks, head_w, head_b, dtype)
 
 
 # ---------------------------------------------------------------------------

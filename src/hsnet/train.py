@@ -26,6 +26,7 @@ from .data import (
     normalize_images,
     smooth_labels,
     synth_blobs,
+    synth_patterns,
 )
 from .errors import ConfigError, IncompatibilityError
 from .layers import softmax_cross_entropy
@@ -98,20 +99,6 @@ class TrainConfig:
         return np.float64 if self.precision == "float64" else np.float32
 
 
-# The published 200-epoch recipe, kept as documentation of the reference
-# hyperparameters; desk-scale runs use the TrainConfig defaults above.
-REFERENCE_RECIPE = {
-    "batch_size": 256,
-    "epochs": 200,
-    "base_lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "label_smoothing": 0.1,
-    "mixup_alpha": 0.2,
-    "schedule": "cosine",
-}
-
-
 def cosine_lr(t: int, total: int, base_lr: float) -> float:
     """Half-cosine decay: 0.5 * base_lr * (1 + cos(pi * t / total))."""
     if total < 1:
@@ -173,8 +160,12 @@ def evaluate(net: Network, ds: Dataset, batch_size: int = 256,
 def _load_datasets(cfg: TrainConfig, rng: Rng) -> tuple[Dataset, Dataset]:
     d = cfg.data
     if d.kind == "synth":
-        train = synth_blobs(d.k, d.n_per_class, d.image_size, rng.child("data-train"))
-        eval_ds = synth_blobs(d.k, d.n_eval_per_class, d.image_size, rng.child("data-eval"))
+        # both splits are sampled around the same class patterns
+        train_rng = rng.child("data-train")
+        patterns = synth_patterns(d.k, d.image_size, train_rng.child("patterns"))
+        train = synth_blobs(d.k, d.n_per_class, d.image_size, train_rng, patterns=patterns)
+        eval_ds = synth_blobs(d.k, d.n_eval_per_class, d.image_size, rng.child("data-eval"),
+                              patterns=patterns)
         return train, eval_ds
     train = load_cifar10(d.path, split="train")
     if d.subset:

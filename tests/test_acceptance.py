@@ -52,7 +52,7 @@ def test_criterion_01_channel_conservation():
         cfg = HsBlockConfig(s=s, w=w)
         stage, plan = identity_like_stage(cfg, rng_seed=trial)
         x = randn((1, s * w, 4, 4), rng.child(f"x{trial}"))
-        out = hs_forward(x, stage, plan, mode="eval")
+        out = hs_forward(x, stage, mode="eval")
         assert out.dims[1] == s * w, (s, w)
     elapsed = time.time() - t0
     report(1, True, "sum(out)=s*w on the full grid; 200 random forwards preserve channels",

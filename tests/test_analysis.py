@@ -1,5 +1,7 @@
 """Closed forms, exact counting, and the reconciliation sweep."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from hsnet.analysis import (
     split_params_closed_form,
     split_params_exact,
 )
+from hsnet import hsblock
 from hsnet.hsblock import HsBlockConfig
 from hsnet.network import build, preset
-from hsnet.tensor import Rng
+from hsnet.tensor import Rng, Tensor4, current_scope
 
 
 class TestClosedForms:
@@ -105,9 +108,56 @@ class TestCount:
         assert small.params_total == large.params_total
 
 
+    @pytest.mark.parametrize("name, image_size", [
+        ("tiny-hs", 32), ("tiny-plain", 32), ("resnet50", 64), ("resnet50-d", 64),
+    ])
+    def test_forward_runs_the_counted_convolutions(self, name, image_size, monkeypatch):
+        cfg = preset(name)
+        cfg.image_size = image_size
+        net = build(cfg, rng=None, dtype=np.float32)
+        calls = []
+        real_conv2d = hsblock.conv2d
+
+        def traced_conv2d(x, p):
+            out = real_conv2d(x, p)
+            oc, ic, k, _ = p.weight.dims
+            bias = 0 if p.bias is None else oc * out.dims[2] * out.dims[3]
+            calls.append((current_scope(), 2 * ic * k * k * oc * out.dims[2] * out.dims[3] + bias))
+            return out
+
+        monkeypatch.setattr(hsblock, "conv2d", traced_conv2d)
+        net.forward(Tensor4(np.zeros((1, 3, image_size, image_size), np.float32)), mode="eval")
+        convs = [r for r in count(net).rows if r.kind == "conv"]
+        assert [scope for scope, _ in calls] == [r.name.removesuffix(".conv") for r in convs]
+        assert sum(flops for _, flops in calls) == sum(r.flops for r in convs)
+
+
 @pytest.fixture(scope="module")
 def rows():
     return reconcile()
+
+
+class TestPinnedCounts:
+    """Row counts and totals at each preset's default image size, and the
+    sweep's CSV, as the per-block walks produced them."""
+
+    @pytest.mark.parametrize("name, expected", [
+        ("hs-resnet50-18w-8s", (474, 45_068_774, 15_607_456_835)),
+        ("hs-resnet50-22w-7s", (426, 50_760_808, 17_558_820_683)),
+        ("hs-resnet50-28w-6s", (378, 58_914_575, 20_339_659_814)),
+        ("hs-resnet50-40w-5s", (330, 77_633_237, 26_708_558_000)),
+        ("resnet50", (174, 25_557_032, 8_217_431_528)),
+        ("resnet50-d", (183, 25_576_264, 8_700_526_056)),
+        ("tiny-hs", (90, 399_337, 6_803_442)),
+        ("tiny-plain", (63, 399_322, 6_648_682)),
+    ])
+    def test_preset_counts(self, name, expected):
+        report = count_config(preset(name))
+        assert (len(report.rows), report.params_total, report.flops_total) == expected
+
+    def test_reconcile_csv_bytes(self, rows):
+        digest = hashlib.sha256(reconcile_csv(rows).encode()).hexdigest()
+        assert digest == "5240d8b21e6ead9fafc1997c23e5c7abc3ed29e5e0b921a24dbfceebdd210bd7"
 
 
 class TestReconcile:

@@ -12,12 +12,11 @@ from hsnet.hsblock import (
     HsStage,
     channel_plan,
     concat_channels,
-    hs_bottleneck_forward,
     hs_forward,
     split_channels,
 )
 from hsnet.layers import BatchNormState, Conv2dParams, batch_norm, conv2d, relu
-from hsnet.network import _make_hs_block
+from hsnet.network import Bottleneck, _make_block, preset
 from hsnet.tensor import Rng, Tape, backward, from_array, randn, tensor_sum, zeros
 
 from oracles import finite_difference, rel_error
@@ -166,7 +165,8 @@ def identity_like_stage(cfg, rng_seed=0, positive=False, beta=0.0):
         beta_t = from_array(np.full((1, c_out, 1, 1), float(beta)))
         bn = BatchNormState(gamma=gamma, beta=beta_t, eps=0.0)
         units.append(ConvBn(conv=conv, bn=bn))
-    return HsStage(cfg, plan, units), plan
+    stage = HsStage(cfg, units)
+    return stage, stage.plan
 
 
 class TestHsForward:
@@ -174,14 +174,14 @@ class TestHsForward:
         cfg = HsBlockConfig(s=5, w=4)
         stage, plan = identity_like_stage(cfg)
         x = randn((2, 20, 8, 8), Rng(1))
-        out = hs_forward(x, stage, plan, mode="eval")
+        out = hs_forward(x, stage, mode="eval")
         assert out.dims == (2, 20, 8, 8)
 
     def test_s2_equals_half_identity_half_conv(self):
         cfg = HsBlockConfig(s=2, w=5)
         stage, plan = identity_like_stage(cfg, rng_seed=3)
         x = randn((2, 10, 6, 6), Rng(2))
-        out = hs_forward(x, stage, plan, mode="eval")
+        out = hs_forward(x, stage, mode="eval")
 
         # hand-built graph: identity on the first half, conv+bn+relu on the second
         x1, x2 = x.data[:, :5], x.data[:, 5:]
@@ -194,16 +194,16 @@ class TestHsForward:
         cfg = HsBlockConfig(s=3, w=4)
         stage, plan = identity_like_stage(cfg)
         with pytest.raises(ShapeError):
-            hs_forward(randn((1, 13, 4, 4), Rng(0)), stage, plan)
+            hs_forward(randn((1, 13, 4, 4), Rng(0)), stage)
 
     @staticmethod
     def _changed_slices(stage, plan, x_base, group_to_zero):
         cfg = stage.cfg
-        base = hs_forward(from_array(x_base), stage, plan, mode="eval").data
+        base = hs_forward(from_array(x_base), stage, mode="eval").data
         x_mod = x_base.copy()
         lo, hi = cfg.w * group_to_zero, cfg.w * (group_to_zero + 1)
         x_mod[:, lo:hi] = 0.0
-        moded = hs_forward(from_array(x_mod), stage, plan, mode="eval").data
+        moded = hs_forward(from_array(x_mod), stage, mode="eval").data
         bounds = np.cumsum([0] + list(plan.out))
         changed = []
         for i in range(cfg.s):
@@ -242,7 +242,7 @@ class TestHsForward:
         x = np.zeros((1, cfg.s * cfg.w, size, size))
         x[0, cfg.w : 2 * cfg.w, center, center] = 1.0
 
-        out = hs_forward(from_array(x), stage, plan, mode="eval").data
+        out = hs_forward(from_array(x), stage, mode="eval").data
         bounds = np.cumsum([0] + list(plan.out))
         assert not out[:, bounds[0] : bounds[1]].any()  # slice 1 untouched
         for i in range(2, cfg.s + 1):
@@ -257,10 +257,10 @@ class TestHsForward:
         x = randn((1, 9, 4, 4), Rng(14), requires_grad=True)
 
         def value():
-            return tensor_sum(hs_forward(x, stage, plan, mode="eval")).item()
+            return tensor_sum(hs_forward(x, stage, mode="eval")).item()
 
         with Tape() as tape:
-            loss = tensor_sum(hs_forward(x, stage, plan, mode="eval"))
+            loss = tensor_sum(hs_forward(x, stage, mode="eval"))
         backward(tape, loss)
         assert rel_error(x.grad, finite_difference(value, x.data)) < 1e-4
 
@@ -273,54 +273,53 @@ class TestHsForward:
             cfg = HsBlockConfig(s=s, w=w, variant=variant)
             stage, plan = identity_like_stage(cfg, rng_seed=trial)
             x = randn((1, s * w, 4, 4), rng.child(f"x{trial}"))
-            out = hs_forward(x, stage, plan, mode="eval")
+            out = hs_forward(x, stage, mode="eval")
             assert out.dims[1] == s * w
+
+
+def hs_block(in_c, out_c, s, w, stride, seed):
+    """A split bottleneck named 'blk' with unit final gamma, built as networks build theirs."""
+    cfg = preset("tiny-hs")
+    cfg.s, cfg.zero_init_gamma = s, False
+    return _make_block(cfg, "blk", in_c, w, out_c, stride, Rng(seed), np.float64)
 
 
 class TestHsBottleneck:
     def test_zero_expand_gives_relu_of_input(self):
-        block = _make_hs_block(
-            "blk", 16, 16, HsBlockConfig(s=4, w=4), Rng(0), np.float64, zero_gamma=False
-        )
-        block.expand.conv.weight.data[:] = 0.0
+        block = hs_block(16, 16, s=4, w=4, stride=1, seed=0)
+        name, kind, expand = block.main[-1]
+        assert (name, kind, block.shortcut) == ("blk.expand", "conv", [])
+        expand.conv.weight.data[:] = 0.0
         x = randn((2, 16, 5, 5), Rng(1))
-        out = hs_bottleneck_forward(x, block, mode="train")
+        out = block.forward(x, mode="train")
         np.testing.assert_allclose(out.data, np.maximum(x.data, 0.0), atol=1e-12)
 
     def test_stride_two_geometry(self):
-        block = _make_hs_block(
-            "blk", 64, 128, HsBlockConfig(s=4, w=8, stride=2), Rng(2), np.float64, zero_gamma=False
-        )
-        out = hs_bottleneck_forward(randn((1, 64, 8, 8), Rng(3)), block, mode="train")
+        block = hs_block(64, 128, s=4, w=8, stride=2, seed=2)
+        out = block.forward(randn((1, 64, 8, 8), Rng(3)), mode="train")
         assert out.dims == (1, 128, 4, 4)
 
     def test_identity_shortcut_requires_matching_dims(self):
-        from hsnet.hsblock import HsBottleneck
-
-        block = _make_hs_block(
-            "blk", 16, 16, HsBlockConfig(s=2, w=8), Rng(4), np.float64, zero_gamma=False
-        )
+        widening = hs_block(16, 32, s=2, w=8, stride=1, seed=4)
         with pytest.raises(ConfigError):
-            HsBottleneck(
-                name="bad", in_channels=16, out_channels=32, cfg=block.cfg,
-                plan=block.plan, reduce=block.reduce, stage=block.stage,
-                expand=block.expand, shortcut=None,
-            )
+            Bottleneck("bad", 16, widening.main, [])
+        striding = hs_block(16, 16, s=2, w=8, stride=2, seed=4)
+        with pytest.raises(ConfigError):
+            Bottleneck("bad", 16, striding.main, [])
 
     def test_backward_vs_finite_differences(self):
-        block = _make_hs_block(
-            "blk", 8, 8, HsBlockConfig(s=3, w=2), Rng(5), np.float64, zero_gamma=False
-        )
+        block = hs_block(8, 8, s=3, w=2, stride=1, seed=5)
         x = randn((2, 8, 4, 4), Rng(6), requires_grad=True)
 
         def value():
-            return tensor_sum(hs_bottleneck_forward(x, block, mode="train")).item()
+            return tensor_sum(block.forward(x, mode="train")).item()
 
         with Tape() as tape:
-            loss = tensor_sum(hs_bottleneck_forward(x, block, mode="train"))
+            loss = tensor_sum(block.forward(x, mode="train"))
         backward(tape, loss)
         assert rel_error(x.grad, finite_difference(value, x.data)) < 1e-4
 
         # a couple of parameters too
-        w = block.stage.units[0].conv.weight
+        stage = next(unit for _, kind, unit in block.main if kind == "hs")
+        w = stage.units[0].conv.weight
         assert rel_error(w.grad, finite_difference(value, w.data)) < 1e-4

@@ -6,7 +6,7 @@ import pytest
 from hsnet.data import smooth_labels
 from hsnet.errors import ConfigError, IncompatibilityError, ShapeError
 from hsnet.gradcheck import gradcheck
-from hsnet.hsblock import HsBottleneck, channel_plan
+from hsnet.hsblock import HsStage, channel_plan
 from hsnet.layers import softmax_cross_entropy
 from hsnet.network import build, preset
 from hsnet.tensor import Rng, Tape, Tensor4, backward
@@ -79,11 +79,12 @@ class TestBuild:
     def test_hs_preset_stage_plans_conserve(self):
         cfg = preset("hs-resnet50-28w-6s")
         net = build(cfg, rng=None, dtype=np.float32)
-        for stage in net.stages:
-            for block in stage:
-                assert isinstance(block, HsBottleneck)
-                plan = channel_plan(block.cfg)
-                assert plan.total_out == block.cfg.s * block.cfg.w
+        stages = [unit for block in net.blocks for _, kind, unit in block.main if kind == "hs"]
+        assert len(stages) == len(net.blocks) == sum(cfg.stage_blocks)
+        for stage in stages:
+            assert isinstance(stage, HsStage)
+            plan = channel_plan(stage.cfg)
+            assert plan.total_out == stage.cfg.s * stage.cfg.w
 
     def test_all_published_presets_build(self):
         for name in (

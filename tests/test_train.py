@@ -1,6 +1,8 @@
 """Schedule, optimizer, checkpoints, and short end-to-end training runs."""
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hsnet.network import build, preset
 from hsnet.tensor import Rng
 from hsnet.train import (
     DataConfig,
+    _load_datasets,
     TrainConfig,
     cosine_lr,
     evaluate,
@@ -135,6 +138,45 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError):
             checkpoint.load(path)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        first = net_checkpoint_state(build(preset("tiny-hs"), Rng(1), dtype=np.float32))
+        checkpoint.save(path, first)
+
+        class FullDevice:
+            """A file that takes the first 4096 bytes written to it, then fails."""
+
+            def __init__(self, f):
+                self.f, self.room = f, 4096
+
+            def write(self, data):
+                data = bytes(data)
+                self.f.write(data[: self.room])
+                self.room -= min(self.room, len(data))
+                if not self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return len(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        real_open = Path.open
+        monkeypatch.setattr(Path, "open", lambda self, mode="r", *args, **kwargs: (
+            FullDevice(real_open(self, mode, *args, **kwargs)) if "w" in mode
+            else real_open(self, mode, *args, **kwargs)))
+        second = net_checkpoint_state(build(preset("tiny-hs"), Rng(2), dtype=np.float32))
+        with pytest.raises(OSError):
+            checkpoint.save(path, second)
+        monkeypatch.undo()
+
+        loaded = checkpoint.load(path)
+        assert list(loaded) == list(first)
+        assert all(np.array_equal(loaded[k], v) for k, v in first.items())
+        assert [f.name for f in tmp_path.iterdir()] == ["last.ckpt"]
+
     def test_network_restore_and_incompatibility(self, tmp_path):
         net = build(preset("tiny-hs"), Rng(3), dtype=np.float32)
         path = tmp_path / "net.ckpt"
@@ -148,6 +190,17 @@ class TestCheckpointFormat:
         state.pop(checkpoint.CONFIG_KEY)
         with pytest.raises(IncompatibilityError):
             other.load_state(state)
+
+
+class TestSynthSplits:
+    def test_eval_split_shares_the_train_class_patterns(self):
+        train_ds, eval_ds = _load_datasets(tiny_train_config(), Rng(42))
+        centroids = np.stack([
+            train_ds.images[train_ds.labels == c].mean(axis=0) for c in range(10)
+        ]).reshape(10, -1)
+        flat = eval_ds.images.reshape(len(eval_ds), 1, -1)
+        nearest = ((flat - centroids[None]) ** 2).sum(axis=2).argmin(axis=1)
+        assert (nearest == eval_ds.labels).mean() >= 0.9
 
 
 class TestTrainLoop:
@@ -183,8 +236,7 @@ class TestTrainLoop:
         rows = train(cfg, tmp_path)
         best_logged = max(r["eval_acc"] for r in rows)
         net = load_network_checkpoint(tmp_path / "best.ckpt")
-        eval_ds = synth_blobs(cfg.data.k, cfg.data.n_eval_per_class, cfg.data.image_size,
-                              Rng(cfg.seed).child("data-eval"))
+        _, eval_ds = _load_datasets(cfg, Rng(cfg.seed))
         result = evaluate(net, eval_ds, batch_size=cfg.batch_size,
                           mean=cfg.normalize_mean, std=cfg.normalize_std)
         assert result.top1 == best_logged
